@@ -7,16 +7,15 @@ Commands
 ``list``          list available experiment ids.
 ``engines``       list registered execution paths; with ``--query``,
                   show the physical path each window takes per engine.
-``session``       run a live :class:`~repro.runtime.QuerySession` over
+``session``       run a live :class:`~repro.runtime.ShardedSession` over
                   a synthetic stream, registering the given queries
-                  one at a time mid-stream (DESIGN.md §6).  With
-                  ``--shards N`` (N > 1) the stream runs on the
-                  key-sharded :class:`~repro.runtime.ShardedSession`
-                  instead (DESIGN.md §7); ``--shard-backend`` picks
+                  one at a time mid-stream (DESIGN.md §6).
+                  ``--shards N`` sets the key-hash shard count
+                  (default 1, DESIGN.md §7); ``--shard-backend`` picks
                   the serial oracle, the multiprocessing pipe pool, or
                   the shared-memory ring pool (``shm``, DESIGN.md §8);
                   ``--async-ingest`` puts the bounded-queue front door
-                  in front of either session; ``--checkpoint-dir`` +
+                  in front of the session; ``--checkpoint-dir`` +
                   ``--checkpoint-every`` write rotating watermark-safe
                   checkpoints while streaming (DESIGN.md §9).
 ``restore``       resume a ``session`` run from its newest checkpoint
@@ -159,7 +158,8 @@ def _cmd_session(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from ..runtime import QuerySession, ShardedSession
+    from ..engine.events import DEFAULT_NUM_SLOTS
+    from ..runtime import ShardedSession
     from ..workloads.streams import constant_rate_stream
 
     # Tri-state so scenario mode can tell "not given" from a real
@@ -223,34 +223,22 @@ def _cmd_session(args: argparse.Namespace) -> int:
             f"checkpointing every {args.checkpoint_every:,} watermark "
             f"ticks to {args.checkpoint_dir}/"
         )
-    if args.shards > 1:
-        if args.slots is not None:
-            auto_kwargs["num_slots"] = args.slots
-        session = ShardedSession(
-            num_keys=args.keys,
-            num_shards=args.shards,
-            backend=args.shard_backend,
-            max_lateness=args.lateness,
-            hysteresis=None if args.no_adapt else args.hysteresis,
-            async_ingest=args.async_ingest,
-            **auto_kwargs,
-        )
-        print(
-            f"sharded session: x{args.shards} key-hash shards over "
-            f"{session.num_slots} slots ({args.shard_backend} backend"
-            f"{', async ingest' if args.async_ingest else ''})"
-        )
-    else:
-        session = QuerySession(
-            num_keys=args.keys,
-            max_lateness=args.lateness,
-            hysteresis=None if args.no_adapt else args.hysteresis,
-            async_ingest=args.async_ingest,
-            **auto_kwargs,
-        )
-        if args.async_ingest:
-            print("async ingest: bounded-queue front door enabled")
-    rebalance_every = args.rebalance_every if args.shards > 1 else 0
+    session = ShardedSession(
+        num_keys=args.keys,
+        num_shards=args.shards,
+        backend=args.shard_backend,
+        num_slots=args.slots or DEFAULT_NUM_SLOTS,
+        max_lateness=args.lateness,
+        hysteresis=None if args.no_adapt else args.hysteresis,
+        async_ingest=args.async_ingest,
+        **auto_kwargs,
+    )
+    print(
+        f"session: x{args.shards} key-hash shard(s) over "
+        f"{session.num_slots} slots ({args.shard_backend} backend"
+        f"{', async ingest' if args.async_ingest else ''})"
+    )
+    rebalance_every = args.rebalance_every
     try:
         for i, (ts, key, value) in enumerate(rows):
             if i in points:
@@ -270,8 +258,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
         raise
 
     _print_session_report(session, results, args.async_ingest)
-    if args.shards > 1:
-        _print_slot_map(session)
+    _print_slot_map(session)
     session.close()
     return 0
 
@@ -426,12 +413,7 @@ def _print_session_report(session, results, async_ingest: bool) -> None:
 def _cmd_restore(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from ..runtime import (
-        QuerySession,
-        ShardedSession,
-        latest_checkpoint,
-        read_checkpoint,
-    )
+    from ..runtime import ShardedSession, latest_checkpoint, read_checkpoint
     from ..workloads.streams import constant_rate_stream
 
     target = Path(args.checkpoint)
@@ -449,14 +431,9 @@ def _cmd_restore(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if snap.kind == "sharded":
-        session = ShardedSession.restore(
-            snap,
-            backend=args.shard_backend,
-            async_ingest=args.async_ingest,
-        )
-    else:
-        session = QuerySession.restore(snap, async_ingest=args.async_ingest)
+    session = ShardedSession.restore(
+        snap, backend=args.shard_backend, async_ingest=args.async_ingest
+    )
     spec = meta["stream"]
     events = args.events if args.events is not None else spec["events"]
     stream = constant_rate_stream(
@@ -620,9 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="run on a key-sharded session with this many hash shards "
-        "(1 = single-core QuerySession; DESIGN.md §7; in scenario "
-        "mode, overrides the scenario's runtime.shards)",
+        help="number of key-hash shards (default 1: one core; "
+        "DESIGN.md §7; in scenario mode, overrides the scenario's "
+        "runtime.shards)",
     )
     p_ses.add_argument(
         "--shard-backend",
@@ -637,14 +614,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="virtual slot count for the elastic slot->shard partition "
-        "(sharded sessions only; default 256 — DESIGN.md §12)",
+        "(default 256 — DESIGN.md §12)",
     )
     p_ses.add_argument(
         "--rebalance-every",
         type=int,
         default=0,
         help="greedily migrate hot slots off the most-loaded shard "
-        "every N events (0 = never; sharded sessions only — "
+        "every N events (0 = never; a no-op at one shard — "
         "DESIGN.md §12)",
     )
     p_ses.add_argument(
@@ -711,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-backend",
         choices=("serial", "process", "shm"),
         default="serial",
-        help="backend for a restored sharded session — an override, "
+        help="backend for the restored session's shard cores — an override, "
         "not part of the snapshot (invariant 12)",
     )
     p_res.add_argument(

@@ -44,6 +44,10 @@ class ExecutionStats:
     events_binned: int = 0
     bytes_copied: int = 0
     copies_elided: int = 0
+    #: Retired subscriptions evicted by a live session's retention cap,
+    #: and the result instances dropped with them (exact counters).
+    retired_results_evicted: int = 0
+    retired_instances_evicted: int = 0
     #: Decayed per-shard load report ``{shard: {"events", "bytes",
     #: "slots", "keys"}}`` — attached by the sharded coordinator only
     #: (``None`` on single-core stats; excluded from :meth:`merge`, as
@@ -122,6 +126,8 @@ class ExecutionStats:
         self.events_binned += other.events_binned
         self.bytes_copied += other.bytes_copied
         self.copies_elided += other.copies_elided
+        self.retired_results_evicted += other.retired_results_evicted
+        self.retired_instances_evicted += other.retired_instances_evicted
         for window, pairs in other.pairs_per_window.items():
             self.pairs_per_window[window] = (
                 self.pairs_per_window.get(window, 0) + pairs

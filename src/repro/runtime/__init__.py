@@ -2,25 +2,26 @@
 
 This package composes the layers the rest of the repo builds — the SQL
 front end, the shared-workload optimizer, the chunked streaming engine,
-and the out-of-order front door — into long-lived session objects:
+and the out-of-order front door — into one long-lived session class:
 
-* :class:`QuerySession` — one :class:`~repro.runtime.core.SessionCore`
-  behind one reorder buffer: the single-process service shape of the
-  paper's motivating Azure IoT Central scenario.
-* :class:`ShardedSession` — N cores over a hash-partitioned key space
-  behind one coordinator clock, with pluggable execution backends
-  (deterministic serial; a ``multiprocessing`` worker pool over pipes;
-  a shared-memory ring data plane — see ``docs/backends.md`` for the
-  backend contract) and a partial-merge coordinator (DESIGN.md §7,
-  invariant 10).
+* :class:`ShardedSession` — N :class:`~repro.runtime.core.SessionCore`
+  shards over a hash-partitioned key space behind one coordinator
+  (reorder buffer, chunk clock, rate controller), with pluggable
+  execution backends (deterministic serial; a ``multiprocessing``
+  worker pool over pipes; a shared-memory ring data plane — see
+  ``docs/backends.md`` for the backend contract) and a partial-merge
+  coordinator (DESIGN.md §7, invariant 10).
+* :class:`QuerySession` — the same class with one serial shard: the
+  single-process service shape of the paper's motivating Azure IoT
+  Central scenario.
 
-Both sessions take ``async_ingest=True`` to put a bounded queue and a
+Sessions take ``async_ingest=True`` to put a bounded queue and a
 background pump thread in front of ingestion — pushes return without
 waiting for flushes, backpressure instead of loss (DESIGN.md §8,
 invariant 11).
 
-Both sessions are also *durable*: ``session.snapshot(path)`` captures
-the whole session at a safe watermark and ``Session.restore(path)``
+Sessions are also *durable*: ``session.snapshot(path)`` captures the
+whole session at a safe watermark and ``Session.restore(path)``
 resumes it bit-identically (DESIGN.md §9, invariant 12) — see
 :mod:`repro.runtime.checkpoint` for the format,
 :mod:`repro.runtime.faults` for the deterministic fault-injection

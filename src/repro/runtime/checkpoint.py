@@ -15,10 +15,9 @@ emits exactly what the uninterrupted session would have
 (``tests/runtime/test_checkpoint.py`` holds this as a property across
 every backend × ingest combination).
 
-This module owns the *format*, not the capture: sessions assemble
-their own payloads (:meth:`~repro.runtime.QuerySession.snapshot`,
-:meth:`~repro.runtime.sharding.ShardedSession.snapshot`) and hand them
-to :func:`write_checkpoint`.  On disk a checkpoint is::
+This module owns the *format*, not the capture: the session assembles
+its own payload (:meth:`~repro.runtime.sharding.ShardedSession.snapshot`)
+and hands it to :func:`write_checkpoint`.  On disk a checkpoint is::
 
     magic (6) | version (u16 LE) | sha256(body) (32) | body (pickle)
 
@@ -70,8 +69,10 @@ _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")
 class Snapshot:
     """One whole-session capture, in memory.
 
-    ``kind`` names the session shape that produced it (``"query"`` or
-    ``"sharded"`` — restore dispatches on it), ``watermark`` is the
+    ``kind`` names the session shape that produced it: ``"sharded"``
+    for every live session, or ``"query"`` for the standalone
+    single-core session of earlier releases (restore converts it),
+    ``watermark`` is the
     safe watermark of the cut, and ``payload`` is the session-assembled
     state graph (pickled wholesale, so shared references — e.g. the
     rate controller inside the rate observer — survive).  ``meta`` is

@@ -3,25 +3,22 @@
 The core is everything a live session does *after* its out-of-order
 front door: chunked event buffering, one :class:`GroupRuntime` per
 (aggregate, semantics) group, watermark-safe plan switching, and
-subscription routing.  It deliberately owns **no** reorder buffer and
-**no** rate controller — those belong to whoever feeds it:
+subscription routing.  It deliberately owns **no** reorder buffer,
+**no** rate controller, and **no** clock of its own — those belong to
+the :class:`~repro.runtime.sharding.ShardedSession` coordinator that
+feeds it.  The coordinator embeds N cores — one per key shard:
+in-process (serial backend) or in worker processes fed over pipes
+(process backend) or shared-memory rings (shm backend, DESIGN.md §8) —
+and drives them all from one coordinator clock, which is what makes
+shard-count invariance (DESIGN.md invariant 10) provable: every core
+sees the same watermark sequence regardless of how keys were split or
+shipped.  :class:`~repro.runtime.QuerySession` is the same coordinator
+over exactly one in-process core.
 
-* :class:`~repro.runtime.QuerySession` wraps one core behind a
-  :class:`~repro.engine.outoforder.ReorderBuffer` and a
-  :class:`~repro.core.adaptive.RateController` (the single-process
-  service shape);
-* :class:`~repro.runtime.sharding.ShardedSession` embeds N cores — one
-  per key shard: in-process (serial backend) or in worker processes
-  fed over pipes (process backend) or shared-memory rings (shm
-  backend, DESIGN.md §8) — and drives them all from one coordinator
-  clock, which is what makes shard-count invariance (DESIGN.md
-  invariant 10) provable: every core sees the same watermark sequence
-  regardless of how keys were split or shipped.
-
-Because the core never advances time on its own (``ingest`` self-rolls
-chunk boundaries only in the standalone path; ``buffer_arrays`` never
-does), a coordinator can hold N cores at identical watermarks by
-construction.
+Because :meth:`SessionCore.buffer_arrays` never advances time (only
+:meth:`SessionCore.advance_to` and the switch entry point
+:meth:`SessionCore.sync_to` flush), a coordinator can hold N cores at
+identical watermarks by construction.
 """
 
 from __future__ import annotations
@@ -60,8 +57,9 @@ DEFAULT_RETIRED_RESULT_CAP = 64
 #: Result-routing scopes a query can register under.
 SCOPES = ("per_key", "global")
 
-#: Post-flush callback: ``(watermark, events_absorbed)``.
-FlushHook = Callable[[int, int], None]
+#: Per-event buffer fields of cores pickled before the standalone
+#: ingest path was removed (see ``SessionCore.__setstate__``).
+_LEGACY_SCALAR_BUFFER = ("_buf_ts", "_buf_keys", "_buf_values")
 
 
 @dataclass
@@ -109,18 +107,18 @@ def resolve_registration_query(
 class EpochRateObserver:
     """Chunk-sized epoch accounting feeding a rate controller.
 
-    Shared by every front door (:class:`~repro.runtime.QuerySession`
-    and :class:`~repro.runtime.sharding.ShardedSession`) so the replan
-    *timing policy* — when an epoch closes, when a drift decision is
-    parked — has exactly one implementation: a divergence here would
-    silently break the shard-count invariance of replan timing
-    (DESIGN.md invariant 10).
+    Owned by the :class:`~repro.runtime.sharding.ShardedSession`
+    coordinator, which observes every flush of its clock — so the
+    replan *timing policy* (when an epoch closes, when a drift decision
+    is parked) is independent of the shard count (DESIGN.md invariant
+    10).
 
     A due replan is parked in :attr:`pending_rate`, never applied
-    inline: a switch advances operators up to the reorder watermark,
-    which is only safe once the front door's release iterator has
-    fully drained, so the owner applies it at its next push boundary
-    via :meth:`take_pending`.
+    inline: a switch must land on a watermark no absorbed event is at
+    or beyond and no unrouted event is below, so the owner applies it
+    via :meth:`take_pending` where the stream splits cleanly — after a
+    push's released events are all routed, or inside a vectorized run
+    just past the parking flush's chunk-crossing timestamp.
     """
 
     def __init__(self, controller):
@@ -175,9 +173,6 @@ class SessionCore:
         Retention cap on retired subscriptions (``None`` = unbounded).
         Evictions are counted exactly in
         :attr:`retired_results_evicted` / :attr:`retired_instances_evicted`.
-    on_flush:
-        Called as ``on_flush(watermark, events)`` after every flush —
-        the hook the front doors hang epoch/rate accounting on.
     """
 
     def __init__(
@@ -187,7 +182,6 @@ class SessionCore:
         event_rate: int = 1,
         enable_factor_windows: bool = True,
         max_retired_results: "int | None" = DEFAULT_RETIRED_RESULT_CAP,
-        on_flush: "FlushHook | None" = None,
     ):
         if num_keys < 1:
             raise ExecutionError(f"num_keys must be >= 1, got {num_keys}")
@@ -201,15 +195,9 @@ class SessionCore:
             enable_factor_windows=enable_factor_windows,
         )
         self.max_retired_results = max_retired_results
-        self.on_flush = on_flush
         self._fixed_chunk = chunk_ticks
         self._chunk_ticks = chunk_ticks or 1
-        self._chunk_start = 0
-        self._chunk_end = self._chunk_ticks
         self._buf_chunks: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]" = []
-        self._buf_ts: list[int] = []
-        self._buf_keys: list[int] = []
-        self._buf_values: list[float] = []
         self._buffered = 0
         # Reusable flush arena: multi-chunk flushes re-contiguate into
         # these preallocated columns instead of a fresh ``concatenate``
@@ -220,7 +208,6 @@ class SessionCore:
         self.bytes_copied = 0
         self.copies_elided = 0
         self._watermark = 0
-        self._max_event_ts = -1
         self._groups: dict[GroupKey, GroupRuntime] = {}
         self._subs: dict[tuple[str, Window], Subscription] = {}
         self._psubs: dict[tuple[str, Window], PartialSubscription] = {}
@@ -228,7 +215,6 @@ class SessionCore:
         self.retired_results_evicted = 0
         self.retired_instances_evicted = 0
         self._seq = 0
-        self._closed = False
         self.switches: list[PlanSwitchRecord] = []
         self.wall_seconds = 0.0
 
@@ -236,26 +222,39 @@ class SessionCore:
     # Snapshot support (DESIGN.md §9, invariant 12)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle everything but :attr:`on_flush` — the hook is a bound
-        method of the owning front door (it may reach a pump thread)
-        and is re-bound by whoever restores the core.  Every other
-        field — the buffered partial chunk, the group runtimes with
-        their operators and subscriptions, the retired-result archive,
-        the workload and its plans — is plain picklable state, which is
+        """Pickle everything but the flush arena.  Every other field —
+        the buffered partial chunk, the group runtimes with their
+        operators and subscriptions, the retired-result archive, the
+        workload and its plans — is plain picklable state, which is
         what makes a core snapshot a *complete* capture: restoring it
         resumes bit-identical to an uninterrupted run.
 
-        The flush arena is dropped too: it holds no live data between
-        flushes (only capacity), and buffered chunk *views* — which may
-        alias shared-memory ring slots — pickle by value, so a snapshot
-        never captures an aliased page."""
+        The arena holds no live data between flushes (only capacity),
+        and buffered chunk *views* — which may alias shared-memory ring
+        slots — pickle by value, so a snapshot never captures an
+        aliased page."""
         state = dict(self.__dict__)
-        state["on_flush"] = None
         state["_arena"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Cores pickled before the standalone ingest path was removed
+        # carry its flush hook, chunk cursor, and per-event scalar
+        # buffer: drop the first two and seal the buffer into one
+        # columnar run, in arrival order.  (Their clock fields are
+        # lifted into a coordinator by ``ShardedSession.restore``.)
+        state.pop("on_flush", None)
+        state.pop("_chunk_start", None)
+        scalar = [state.pop(name, []) for name in _LEGACY_SCALAR_BUFFER]
         self.__dict__.update(state)
+        if scalar[0]:
+            self._buf_chunks.append(
+                (
+                    np.asarray(scalar[0], dtype=np.int64),
+                    np.asarray(scalar[1], dtype=np.int64),
+                    np.asarray(scalar[2], dtype=np.float64),
+                )
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -293,6 +292,8 @@ class SessionCore:
         merged.wall_seconds = self.wall_seconds
         merged.bytes_copied += self.bytes_copied
         merged.copies_elided += self.copies_elided
+        merged.retired_results_evicted += self.retired_results_evicted
+        merged.retired_instances_evicted += self.retired_instances_evicted
         return merged
 
     def group_stats(self) -> "dict[GroupKey, ExecutionStats]":
@@ -544,7 +545,6 @@ class SessionCore:
         aggregates only — holistic global queries have no partial form
         and must be raw-forwarded to a single-key core instead).
         """
-        self._require_open()
         if scope not in SCOPES:
             raise ExecutionError(
                 f"unknown scope {scope!r}; expected one of {SCOPES}"
@@ -601,7 +601,6 @@ class SessionCore:
         """Remove one query at the safe watermark.  Its emitted results
         stay readable (within the retention cap); its windows stop
         being computed unless another query still needs them."""
-        self._require_open()
         query = self.workload.queries.get(name)
         if query is None:
             raise ExecutionError(f"no registered query named {name!r}")
@@ -619,7 +618,6 @@ class SessionCore:
     ) -> RegisterAck:
         """Re-price every group at a new rate, switching the plans
         whose provider map actually changed."""
-        self._require_open()
         for delta in self.workload.set_event_rate(event_rate):
             if delta.provider_change:
                 self._apply_delta(delta, at)
@@ -722,38 +720,17 @@ class SessionCore:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def ingest(self, ts: int, key: int, value: float) -> None:
-        """Buffer one in-order event and self-roll chunk boundaries —
-        the standalone (single-core front door) path.
-
-        A flush may advance the watermark up to ``ts``'s chunk end;
-        the event is buffered first, so every released-but-unabsorbed
-        event is in the buffer when it does.  Absorbing an event
-        slightly before its chunk is harmless — closes are
-        watermark-driven.
-        """
-        self._buf_ts.append(ts)
-        self._buf_keys.append(key)
-        self._buf_values.append(value)
-        self._buffered += 1
-        if ts > self._max_event_ts:
-            self._max_event_ts = ts
-        while ts >= self._chunk_end:
-            self._flush(self._chunk_end)
-
     def buffer_arrays(
         self, ts: np.ndarray, keys: np.ndarray, values: np.ndarray
     ) -> None:
-        """Buffer a sorted column slice *without* advancing time — the
-        coordinated (sharded) path, where only the coordinator's clock
-        may trigger flushes."""
+        """Buffer a sorted column slice *without* advancing time — only
+        the coordinator's clock may trigger flushes."""
         if ts.size == 0:
             return
         if keys.size and (keys.min() < 0 or keys.max() >= self.num_keys):
             raise ExecutionError(
                 f"keys outside dense id space [0, {self.num_keys})"
             )
-        self._seal_scalar_buffer()
         self._buf_chunks.append(
             (
                 np.asarray(ts, dtype=np.int64),
@@ -762,9 +739,6 @@ class SessionCore:
             )
         )
         self._buffered += int(ts.size)
-        last = int(ts[-1])
-        if last > self._max_event_ts:
-            self._max_event_ts = last
 
     def localize_buffer(self) -> None:
         """Copy every buffered chunk into freshly owned arrays.
@@ -787,21 +761,9 @@ class SessionCore:
             self.bytes_copied += int(ts.size) * EVENT_BYTES
         self._buf_chunks = localized
 
-    def _seal_scalar_buffer(self) -> None:
-        if self._buf_ts:
-            self._buf_chunks.append(
-                (
-                    np.asarray(self._buf_ts, dtype=np.int64),
-                    np.asarray(self._buf_keys, dtype=np.int64),
-                    np.asarray(self._buf_values, dtype=np.float64),
-                )
-            )
-            self._buf_ts, self._buf_keys, self._buf_values = [], [], []
-
     def advance_to(self, watermark: int) -> None:
         """Absorb the buffer and advance every operator to
         ``watermark`` (the coordinator's flush edge)."""
-        self._require_open()
         if watermark < self._watermark:
             raise ExecutionError(
                 f"cannot advance backwards: watermark {watermark} < "
@@ -854,7 +816,6 @@ class SessionCore:
 
     def _flush(self, to_watermark: int) -> None:
         started = time.perf_counter()
-        self._seal_scalar_buffer()
         count = self._buffered
         if count:
             chunks, self._buf_chunks = self._buf_chunks, []
@@ -876,31 +837,11 @@ class SessionCore:
         for runtime in self._groups.values():
             runtime.advance(to_watermark)
         self._watermark = to_watermark
-        self._chunk_start = to_watermark
-        self._chunk_end = to_watermark + self._chunk_ticks
         self.wall_seconds += time.perf_counter() - started
-        if self.on_flush is not None:
-            self.on_flush(to_watermark, count)
 
     # ------------------------------------------------------------------
-    # Termination and results
+    # Results
     # ------------------------------------------------------------------
-    def finish(self, horizon: "int | None" = None) -> int:
-        """Close every instance ending at or before ``horizon``
-        (default: last event + 1) and seal the core.  Returns the
-        horizon used."""
-        self._require_open()
-        if horizon is None:
-            horizon = max(self._watermark, self._max_event_ts + 1)
-        if horizon < self._watermark:
-            raise ExecutionError(
-                f"horizon {horizon} is behind the watermark "
-                f"{self._watermark}"
-            )
-        self._flush(horizon)
-        self._closed = True
-        return horizon
-
     def report(self, drain: bool = False) -> ShardReport:
         """Emitted results: per-key rows plus cross-key partials.
 
@@ -922,7 +863,3 @@ class SessionCore:
         if drain:
             self._retired = {}
         return ShardReport(results=results, partials=partials)
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise ExecutionError("session is finished")

@@ -1468,11 +1468,63 @@ def _configure_durability(
     )
 
 
-class ShardedSession(AsyncIngestFrontDoor):
-    """A live multi-query session hash-partitioned over the key space.
+def _lift_query_graph(graph: dict) -> dict:
+    """Convert a ``kind="query"`` snapshot graph — one core behind one
+    reorder buffer, written by the standalone single-core session of
+    earlier releases — into the 1-shard coordinator graph
+    :meth:`ShardedSession.restore` reads.
 
-    Drop-in surface of :class:`~repro.runtime.QuerySession` (push /
-    register / deregister / results / finish) plus:
+    The core's clock fields become the coordinator's; its buffered
+    partial chunk stays in the core (sealed into a columnar run on
+    unpickle), still owed to the next flush's rate observation."""
+    core: SessionCore = graph["core"]
+    legacy = vars(core)
+    partial = {name for name, _ in core._psubs}
+    queries = {
+        name: (query, "partial" if name in partial else "concat")
+        for name, query in core.workload.queries.items()
+    }
+    coordinator = {
+        "reorder": graph["reorder"],
+        "controller": graph["controller"],
+        "observer": graph["observer"],
+        "queries": queries,
+        "modes": {name: mode for name, (_, mode) in queries.items()},
+        "forward": None,
+        "forward_names": set(),
+        "auto_names": graph["auto_names"],
+        "generation": core.generation,
+        "watermark": core.watermark,
+        "chunk_end": legacy.pop("_chunk_end"),
+        "chunk_ticks": core.chunk_ticks,
+        "max_event_ts": legacy.pop("_max_event_ts"),
+        "event_rate": core.workload.event_rate,
+        "num_keys": graph["num_keys"],
+        "num_shards": 1,
+        "fixed_chunk": core._fixed_chunk,
+        "enable_factor_windows": core.workload.enable_factor_windows,
+        "max_retired_results": core.max_retired_results,
+        "closed": legacy.pop("_closed"),
+        "wall_seconds": core.wall_seconds,
+        "pending_events": core.buffered_events,
+    }
+    return {
+        "coordinator": coordinator,
+        "shards": [pickle.dumps(core, protocol=pickle.HIGHEST_PROTOCOL)],
+        "residue": graph["residue"],
+    }
+
+
+class ShardedSession(AsyncIngestFrontDoor):
+    """A live multi-query session hash-partitioned over the key space —
+    the one session implementation (:class:`~repro.runtime.QuerySession`
+    is this class with one serial shard).
+
+    The core surface (DESIGN.md §6): ``register`` / ``deregister``
+    queries at any watermark, ``push`` / :meth:`push_many` an
+    out-of-order stream, read ``results`` / ``drain_results``,
+    ``finish``; a rate controller re-plans live when the event rate
+    drifts.  On top of that:
 
     * ``num_shards`` / ``backend`` — the partition width and where the
       shard cores run (``"serial"`` in-process, ``"process"`` one
@@ -1514,13 +1566,14 @@ class ShardedSession(AsyncIngestFrontDoor):
         raises).  Ignored by the serial backend, whose in-process
         calls cannot stall.
     auto_checkpoint / checkpoint_meta / on_checkpoint:
-        In-session checkpoint cadence, identical to
-        :class:`~repro.runtime.QuerySession`'s: a
+        In-session checkpoint cadence (DESIGN.md §9): a
         :class:`~repro.runtime.checkpoint.CheckpointStore` built with
         ``every=<ticks>`` is consulted after every applied push and
-        saves a rotating coordinator-consistent snapshot when due;
+        saves a rotating coordinator-consistent snapshot when due —
+        the same code path the CLI and the session service use.
         ``checkpoint_meta()`` supplies each checkpoint's ``meta`` and
-        ``on_checkpoint(snapshot, path)`` fires after each save.
+        ``on_checkpoint(snapshot, path)`` fires after each save (the
+        service supervisor truncates its replay tail there).
     """
 
     def __init__(
@@ -1571,6 +1624,7 @@ class ShardedSession(AsyncIngestFrontDoor):
         # signal the rebalance policy reads (DESIGN.md §12).
         self._slot_events = np.zeros(self.num_slots, dtype=np.float64)
         self._slot_bytes = np.zeros(self.num_slots, dtype=np.float64)
+        self._slot_hits: "list[int]" = []
         # Only shards that own keys get a core: a key-less core would
         # still close (dummy-key) instances forever — wasted work that
         # would also inflate the logical pair counters sharding must
@@ -1580,25 +1634,13 @@ class ShardedSession(AsyncIngestFrontDoor):
             for shard in range(num_shards)
             if self.partitioner.owned[shard].size
         ]
-        self._slot_of_shard = np.full(num_shards, -1, dtype=np.int64)
-        for slot, shard in enumerate(self.active_shards):
-            self._slot_of_shard[shard] = slot
-        self.backend = _resolve_backend(backend)
-        _configure_durability(
-            self.backend, fault_plan, worker_recovery, control_timeout
-        )
-        self.backend.start(
-            [
-                ShardConfig(
-                    shard=shard,
-                    num_keys=self.partitioner.local_num_keys(shard),
-                    chunk_ticks=chunk_ticks,
-                    event_rate=event_rate,
-                    enable_factor_windows=enable_factor_windows,
-                    max_retired_results=max_retired_results,
-                )
-                for shard in self.active_shards
-            ]
+        self._rebuild_shard_tables()
+        self._fixed_chunk = chunk_ticks
+        self._enable_factor_windows = enable_factor_windows
+        self._max_retired_results = max_retired_results
+        self._event_rate = event_rate
+        self._start_backend(
+            backend, fault_plan, worker_recovery, control_timeout
         )
         self.controller = (
             None
@@ -1608,19 +1650,12 @@ class ShardedSession(AsyncIngestFrontDoor):
             )
         )
         self._reorder = ReorderBuffer(max_lateness)
-        self._fixed_chunk = chunk_ticks
         self._chunk_ticks = chunk_ticks or 1
         self._chunk_end = self._chunk_ticks
-        self._enable_factor_windows = enable_factor_windows
-        self._max_retired_results = max_retired_results
-        self._event_rate = event_rate
         self._rate_observer = EpochRateObserver(self.controller)
         self._watermark = 0
         self._max_event_ts = -1
         self._pending_events = 0
-        active = len(self.active_shards)
-        self._scalar_buf = [([], [], []) for _ in range(active)]
-        self._array_buf: "list[list[tuple]]" = [[] for _ in range(active)]
         self._queries: "dict[str, tuple[Query, str]]" = {}
         self._modes: dict[str, str] = {}
         self._forward: "SessionCore | None" = None
@@ -1635,12 +1670,35 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._auto_store = require_cadence(auto_checkpoint)
         self._checkpoint_meta = checkpoint_meta
         self._on_checkpoint = on_checkpoint
+        self._start_pump(
+            async_ingest, ingest_high_watermark, ingest_low_watermark
+        )
+
+    def _start_backend(
+        self, backend, fault_plan, worker_recovery: bool, control_timeout
+    ) -> None:
+        self.backend = _resolve_backend(backend)
+        _configure_durability(
+            self.backend, fault_plan, worker_recovery, control_timeout
+        )
+        self.backend.start(
+            [
+                self._shard_config(
+                    shard, self.partitioner.local_num_keys(shard)
+                )
+                for shard in self.active_shards
+            ]
+        )
+
+    def _start_pump(
+        self, async_ingest: bool, high_watermark: int, low_watermark
+    ) -> None:
         self._pump = (
             IngestPump(
                 push=self._push_now,
                 push_batch=self._push_batch_now,
-                high_watermark=ingest_high_watermark,
-                low_watermark=ingest_low_watermark,
+                high_watermark=high_watermark,
+                low_watermark=low_watermark,
             )
             if async_ingest
             else None
@@ -1666,6 +1724,19 @@ class ShardedSession(AsyncIngestFrontDoor):
     @property
     def reorder_stats(self):
         return self._reorder.stats
+
+    @property
+    def retired_results_evicted(self) -> int:
+        """Retired subscriptions evicted by the retention cap (exact;
+        summed over cores — every shard core archives, and evicts, its
+        own slice of a retired subscription)."""
+        return self.stats().retired_results_evicted
+
+    @property
+    def retired_instances_evicted(self) -> int:
+        """Result instances dropped with those evictions (exact; summed
+        over cores like :attr:`retired_results_evicted`)."""
+        return self.stats().retired_instances_evicted
 
     @property
     def worker_recoveries(self) -> int:
@@ -1887,19 +1958,23 @@ class ShardedSession(AsyncIngestFrontDoor):
             raise ExecutionError(
                 f"key {key} outside dense id space [0, {self.num_keys})"
             )
-        for event in self._reorder.push(ts, int(key), float(value)):
+        # Timestamps are integer ticks on every ingest path (push_many
+        # and push_batch cast their columns to int64 too).
+        for event in self._reorder.push(int(ts), int(key), float(value)):
             self._route(event)
-        # Deferred exactly like QuerySession: the release iterator must
-        # fully drain before a switch advances the watermark.
+        # Rate-driven switches are deferred to this point: a switch
+        # advances operators up to the reorder watermark, which is only
+        # safe once every event the buffer has released is routed —
+        # and the release iterator above drains lazily.
         if self._rate_observer.pending_rate is not None:
             self._apply_rate(self._rate_observer.take_pending())
         self._maybe_auto_checkpoint()
 
     def _maybe_auto_checkpoint(self) -> None:
-        """Cadence-driven checkpointing inside the ingest path (same
-        contract as :meth:`QuerySession._maybe_auto_checkpoint`): runs
-        on the thread applying pushes, so each saved cut is
-        prefix-consistent with the command stream."""
+        """Cadence-driven checkpointing, inside the ingest path itself:
+        fires on the same thread that applies pushes (the pump thread
+        in async mode), so every saved cut is prefix-consistent with
+        the command stream by construction."""
         store = self._auto_store
         if store is None or not store.due(self._watermark):
             return
@@ -1948,7 +2023,16 @@ class ShardedSession(AsyncIngestFrontDoor):
     def _route_arrays(self, ts, keys, values) -> None:
         """Buffer a *released* (timestamp-sorted) columnar run,
         flushing at every chunk boundary — the vectorized twin of
-        looping :meth:`_route`."""
+        looping :meth:`_route`.
+
+        A rate decision parked by one of those flushes is applied
+        before the rest of the run is routed, as the per-event path
+        applies it at its next push.  The switch point must split the
+        run: the chunk-crossing event is already absorbed, so the
+        switch waits for that timestamp's ties and lands on the next
+        timestamp (fresh operators start at or after it, draining
+        ones keep absorbing until they retire).  A decision parked at
+        the run's tail stays parked for the caller's safe watermark."""
         n = int(ts.size)
         pos = 0
         while pos < n:
@@ -1962,6 +2046,18 @@ class ShardedSession(AsyncIngestFrontDoor):
             last = int(ts[cut - 1])
             while last >= self._chunk_end:
                 self._flush(self._chunk_end)
+            if self._rate_observer.pending_rate is None:
+                continue
+            ties = int(np.searchsorted(ts, last, side="right"))
+            if ties > pos:
+                self._buffer_arrays(
+                    ts[pos:ties], keys[pos:ties], values[pos:ties]
+                )
+                pos = ties
+            if pos < n:
+                self._apply_rate(
+                    self._rate_observer.take_pending(), int(ts[pos])
+                )
 
     def push_batch(self, batch: EventBatch) -> None:
         """Vectorized sorted fast path: partition a whole columnar
@@ -2014,28 +2110,11 @@ class ShardedSession(AsyncIngestFrontDoor):
         # chunk-clock watermark, which can trail buffered events) and
         # keeps its exact counters coherent with push().
         self._reorder.accept_sorted(n, int(ts[0]), int(ts[-1]))
-        pos = 0
-        while pos < n:
-            cut = int(np.searchsorted(ts, self._chunk_end, side="left"))
-            if cut >= n:
-                self._buffer_slice(batch, pos, n)
-                break
-            # The chunk-crossing event rides along, exactly as in the
-            # per-event path (it is buffered before its flush fires).
-            cut += 1
-            self._buffer_slice(batch, pos, cut)
-            pos = cut
-            last = int(ts[cut - 1])
-            while last >= self._chunk_end:
-                self._flush(self._chunk_end)
-        if self._rate_observer.pending_rate is not None:
-            self._apply_rate(self._rate_observer.take_pending())
+        # A rate decision still parked after the run waits for the next
+        # ingest call: the bypass has no safe watermark of its own (the
+        # next batch may still carry this batch's last timestamp).
+        self._route_arrays(ts, batch.keys, batch.values)
         self._maybe_auto_checkpoint()
-
-    def _buffer_slice(self, batch: EventBatch, lo: int, hi: int) -> None:
-        self._buffer_arrays(
-            batch.timestamps[lo:hi], batch.keys[lo:hi], batch.values[lo:hi]
-        )
 
     def _buffer_arrays(self, ts, keys, values) -> None:
         slices = self.partitioner.split_arrays(ts, keys, values)
@@ -2050,8 +2129,9 @@ class ShardedSession(AsyncIngestFrontDoor):
                 self.partitioner.slot_of_key[keys],
                 minlength=self.num_slots,
             )
-            self._slot_events += counts
-            self._slot_bytes += counts * float(EVENT_BYTES)
+            events, volume = self._slot_loads()
+            events += counts
+            volume += counts * float(EVENT_BYTES)
         self._pending_events += int(ts.size)
         last = int(ts[-1])
         if last > self._max_event_ts:
@@ -2059,18 +2139,15 @@ class ShardedSession(AsyncIngestFrontDoor):
 
     def _route(self, event) -> None:
         ts, key, value = event
-        slot = int(self._slot_of_shard[self.partitioner.shard_of[key]])
-        buf_ts, buf_keys, buf_values = self._scalar_buf[slot]
+        buf_ts, buf_keys, buf_values = self._scalar_buf[self._key_slot[key]]
         buf_ts.append(ts)
-        buf_keys.append(int(self.partitioner.local_id[key]))
+        buf_keys.append(self._key_local[key])
         buf_values.append(value)
         if self._forward_names:
             self._fwd_scalar[0].append(ts)
             self._fwd_scalar[1].append(value)
-        if self.partitioner.slot_of_key is not None:
-            vslot = int(self.partitioner.slot_of_key[key])
-            self._slot_events[vslot] += 1.0
-            self._slot_bytes[vslot] += float(EVENT_BYTES)
+        if self._key_vslot is not None:
+            self._slot_hits.append(self._key_vslot[key])
         self._pending_events += 1
         if ts > self._max_event_ts:
             self._max_event_ts = ts
@@ -2129,8 +2206,9 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._rate_observer.observe_flush(
             to_watermark, count, self._chunk_ticks, bool(self._queries)
         )
-        self._slot_events *= LOAD_DECAY
-        self._slot_bytes *= LOAD_DECAY
+        events, volume = self._slot_loads()
+        events *= LOAD_DECAY
+        volume *= LOAD_DECAY
 
     def _sync(self, target: int) -> None:
         """Advance every core to the same safe watermark (the
@@ -2140,8 +2218,9 @@ class ShardedSession(AsyncIngestFrontDoor):
         if self._pending_events or target > self._watermark:
             self._flush(target)
 
-    def _apply_rate(self, rate: int) -> None:
-        at = self._safe_watermark()
+    def _apply_rate(self, rate: int, at: "int | None" = None) -> None:
+        if at is None:
+            at = self._safe_watermark()
         self._sync(at)
         self.backend.set_rate(rate, at)
         if self._forward is not None:
@@ -2161,8 +2240,20 @@ class ShardedSession(AsyncIngestFrontDoor):
     def slot_loads(self) -> "tuple[np.ndarray, np.ndarray]":
         """Decayed per-slot ``(events, bytes)`` load counters."""
         return self._via_pump(
-            lambda: (self._slot_events.copy(), self._slot_bytes.copy())
+            lambda: tuple(loads.copy() for loads in self._slot_loads())
         )
+
+    def _slot_loads(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The live ``(events, bytes)`` per-slot counters, first
+        charged with the per-event hits :meth:`_route` deferred.
+        ``np.add.at`` adds them one at a time in arrival order, so the
+        counters are bit-identical to per-event increments."""
+        if self._slot_hits:
+            hits = np.asarray(self._slot_hits, dtype=np.intp)
+            self._slot_hits = []
+            np.add.at(self._slot_events, hits, 1.0)
+            np.add.at(self._slot_bytes, hits, float(EVENT_BYTES))
+        return self._slot_events, self._slot_bytes
 
     def shard_loads(self) -> "dict[int, dict[str, float]]":
         """Decayed per-shard load totals, folded over the slot map:
@@ -2173,11 +2264,12 @@ class ShardedSession(AsyncIngestFrontDoor):
     def _shard_loads_now(self) -> "dict[int, dict[str, float]]":
         self._require_slots()
         slot_map = self.partitioner.slot_map
+        slot_events, slot_bytes = self._slot_loads()
         events = np.bincount(
-            slot_map, weights=self._slot_events, minlength=self.num_shards
+            slot_map, weights=slot_events, minlength=self.num_shards
         )
         volume = np.bincount(
-            slot_map, weights=self._slot_bytes, minlength=self.num_shards
+            slot_map, weights=slot_bytes, minlength=self.num_shards
         )
         slots = np.bincount(slot_map, minlength=self.num_shards)
         return {
@@ -2232,7 +2324,7 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._require_slots()
         if self.num_shards < 2:
             return 0
-        load = self._slot_events
+        load, _ = self._slot_loads()
         new_map = self.partitioner.slot_map.copy()
         limit = 8 if max_moves is None else int(max_moves)
         moved = 0
@@ -2271,7 +2363,7 @@ class ShardedSession(AsyncIngestFrontDoor):
     def _split_shard_now(self, source: "int | None") -> int:
         self._require_open()
         slot_map = self._require_slots().copy()
-        load = self._slot_events
+        load, _ = self._slot_loads()
         if source is None:
             shard_load = np.bincount(
                 slot_map, weights=load, minlength=self.num_shards
@@ -2318,7 +2410,7 @@ class ShardedSession(AsyncIngestFrontDoor):
             )
         if into is None:
             shard_load = np.bincount(
-                slot_map, weights=self._slot_events,
+                slot_map, weights=self._slot_loads()[0],
                 minlength=self.num_shards,
             )
             into = min(
@@ -2379,13 +2471,10 @@ class ShardedSession(AsyncIngestFrontDoor):
         retiring = [s for s in old_active if s not in new_active]
         if np.array_equal(new.shard_of, old.shard_of) and not spawned:
             # Pure relabel of keyless slots: no state moves, no
-            # barrier — and the ingest buffers (indexed by unchanged
-            # backend slots) stay untouched.
+            # barrier — and the per-key routes and ingest buffers
+            # (indexed by unchanged backend slots) stay untouched.
             self.partitioner = new
             self.num_shards = num_shards
-            self._slot_of_shard = np.full(num_shards, -1, dtype=np.int64)
-            for slot, shard in enumerate(self.active_shards):
-                self._slot_of_shard[shard] = slot
             return
         at = self._safe_watermark()
         self._sync(at)
@@ -2442,9 +2531,19 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._rebuild_shard_tables()
 
     def _rebuild_shard_tables(self) -> None:
-        self._slot_of_shard = np.full(self.num_shards, -1, dtype=np.int64)
-        for slot, shard in enumerate(self.active_shards):
-            self._slot_of_shard[shard] = slot
+        """Per-key routes of the per-event path as plain lists (backend
+        slot, local key id, virtual slot — scalar numpy indexing would
+        dominate :meth:`_route`), and empty per-slot ingest buffers."""
+        partitioner = self.partitioner
+        slot_of_shard = np.full(self.num_shards, -1, dtype=np.int64)
+        slot_of_shard[self.active_shards] = np.arange(len(self.active_shards))
+        self._key_slot = slot_of_shard[partitioner.shard_of].tolist()
+        self._key_local = partitioner.local_id.tolist()
+        self._key_vslot = (
+            None
+            if partitioner.slot_of_key is None
+            else partitioner.slot_of_key.tolist()
+        )
         active = len(self.active_shards)
         self._scalar_buf = [([], [], []) for _ in range(active)]
         self._array_buf = [[] for _ in range(active)]
@@ -2540,7 +2639,7 @@ class ShardedSession(AsyncIngestFrontDoor):
                 else self.partitioner.slot_map.copy()
             ),
             "active_shards": list(self.active_shards),
-            "slot_events": self._slot_events.copy(),
+            "slot_events": self._slot_loads()[0].copy(),
             "slot_bytes": self._slot_bytes.copy(),
             "fixed_chunk": self._fixed_chunk,
             "enable_factor_windows": self._enable_factor_windows,
@@ -2605,20 +2704,23 @@ class ShardedSession(AsyncIngestFrontDoor):
         ingest-queue residue is
         replayed through the restored front door first, so the
         restored timeline has applied exactly the events the original
-        had accepted.
+        had accepted.  ``kind="query"`` checkpoints of the standalone
+        single-core session of earlier releases restore as a 1-shard
+        session.
         """
         snap = (
             source
             if isinstance(source, Snapshot)
             else read_checkpoint(source)
         )
-        if snap.kind != "sharded":
+        if snap.kind not in ("sharded", "query"):
             raise ExecutionError(
-                f"checkpoint kind {snap.kind!r} is not a ShardedSession "
-                "snapshot (QuerySession.restore reads 'query' "
-                "checkpoints)"
+                f"checkpoint kind {snap.kind!r} is not a session "
+                "snapshot (expected 'sharded' or 'query')"
             )
         graph = pickle.loads(snap.payload["state"])
+        if snap.kind == "query":
+            graph = _lift_query_graph(graph)
         coord = graph["coordinator"]
         self = cls.__new__(cls)
         self.num_keys = coord["num_keys"]
@@ -2651,42 +2753,24 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._slot_bytes = coord.get(
             "slot_bytes", np.zeros(self.num_slots, dtype=np.float64)
         )
-        self._slot_of_shard = np.full(self.num_shards, -1, dtype=np.int64)
-        for slot, shard in enumerate(self.active_shards):
-            self._slot_of_shard[shard] = slot
-        self.backend = _resolve_backend(backend)
-        _configure_durability(
-            self.backend, fault_plan, worker_recovery, control_timeout
-        )
-        self.backend.start(
-            [
-                ShardConfig(
-                    shard=shard,
-                    num_keys=self.partitioner.local_num_keys(shard),
-                    chunk_ticks=coord["fixed_chunk"],
-                    event_rate=coord["event_rate"],
-                    enable_factor_windows=coord["enable_factor_windows"],
-                    max_retired_results=coord["max_retired_results"],
-                )
-                for shard in self.active_shards
-            ]
+        self._slot_hits = []
+        self._rebuild_shard_tables()
+        self._fixed_chunk = coord["fixed_chunk"]
+        self._enable_factor_windows = coord["enable_factor_windows"]
+        self._max_retired_results = coord["max_retired_results"]
+        self._event_rate = coord["event_rate"]
+        self._start_backend(
+            backend, fault_plan, worker_recovery, control_timeout
         )
         self.backend.restore(graph["shards"])
         self.controller = coord["controller"]
         self._reorder = coord["reorder"]
-        self._fixed_chunk = coord["fixed_chunk"]
         self._chunk_ticks = coord["chunk_ticks"]
         self._chunk_end = coord["chunk_end"]
-        self._enable_factor_windows = coord["enable_factor_windows"]
-        self._max_retired_results = coord["max_retired_results"]
-        self._event_rate = coord["event_rate"]
         self._rate_observer = coord["observer"]
         self._watermark = coord["watermark"]
         self._max_event_ts = coord["max_event_ts"]
         self._pending_events = coord.get("pending_events", 0)
-        active = len(self.active_shards)
-        self._scalar_buf = [([], [], []) for _ in range(active)]
-        self._array_buf = [[] for _ in range(active)]
         self._queries = coord["queries"]
         self._modes = coord["modes"]
         self._forward = coord["forward"]
@@ -2701,15 +2785,8 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._auto_store = require_cadence(auto_checkpoint)
         self._checkpoint_meta = checkpoint_meta
         self._on_checkpoint = on_checkpoint
-        self._pump = (
-            IngestPump(
-                push=self._push_now,
-                push_batch=self._push_batch_now,
-                high_watermark=ingest_high_watermark,
-                low_watermark=ingest_low_watermark,
-            )
-            if async_ingest
-            else None
+        self._start_pump(
+            async_ingest, ingest_high_watermark, ingest_low_watermark
         )
         for item in graph["residue"]:
             if item[0] == _EVENT:

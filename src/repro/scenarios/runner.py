@@ -34,8 +34,9 @@ import numpy as np
 
 from ..aggregates.registry import get_aggregate
 from ..core.multiquery import Query
+from ..engine.events import DEFAULT_NUM_SLOTS
 from ..errors import ExecutionError
-from ..runtime import QuerySession, ShardedSession
+from ..runtime import ShardedSession
 from ..workloads.domains import domain_stream
 from ..workloads.rng import seeded_rng
 from .rstream import StreamCapture, read_rstream, write_rstream
@@ -491,33 +492,20 @@ def _execute(
     fault_plan,
 ) -> ScenarioReport:
     num_events = compiled.num_events
-    session_kwargs: dict = {}
-    if runtime.chunk_ticks is not None:
-        session_kwargs["chunk_ticks"] = runtime.chunk_ticks
-    if runtime.shards > 1:
-        if runtime.slots is not None:
-            session_kwargs["num_slots"] = runtime.slots
-        if fault_plan is not None:
-            session_kwargs["fault_plan"] = fault_plan
-        workers = runtime.backend != "serial"
-        session = ShardedSession(
-            num_keys=compiled.num_keys,
-            num_shards=runtime.shards,
-            backend=runtime.backend,
-            max_lateness=compiled.max_lateness,
-            async_ingest=runtime.async_ingest,
-            worker_recovery=runtime.worker_recovery and workers,
-            hysteresis=None,
-            **session_kwargs,
-        )
-    else:
-        session = QuerySession(
-            num_keys=compiled.num_keys,
-            max_lateness=compiled.max_lateness,
-            async_ingest=runtime.async_ingest,
-            hysteresis=None,
-            **session_kwargs,
-        )
+    session = ShardedSession(
+        num_keys=compiled.num_keys,
+        num_shards=runtime.shards,
+        backend=runtime.backend,
+        num_slots=runtime.slots or DEFAULT_NUM_SLOTS,
+        max_lateness=compiled.max_lateness,
+        chunk_ticks=runtime.chunk_ticks,
+        async_ingest=runtime.async_ingest,
+        fault_plan=fault_plan,
+        worker_recovery=(
+            runtime.worker_recovery and runtime.backend != "serial"
+        ),
+        hysteresis=None,
+    )
     rows = np.column_stack(
         (
             compiled.timestamps.astype(np.float64),
@@ -541,8 +529,7 @@ def _execute(
             elif kind == "deregister":
                 session.deregister(str(payload))
             elif kind == "rebalance":
-                if runtime.shards > 1:
-                    moved += session.rebalance()
+                moved += session.rebalance()
         if cursor < num_events:
             _feed(session, compiled, rows, cursor, num_events)
         results = session.finish(horizon=compiled.horizon)
@@ -563,7 +550,7 @@ def _execute(
     }
     return ScenarioReport(
         name=name,
-        backend=runtime.backend if runtime.shards > 1 else "serial",
+        backend=runtime.backend,
         shards=runtime.shards,
         async_ingest=runtime.async_ingest,
         events=num_events,
@@ -584,10 +571,10 @@ def _execute(
 
 
 def _feed(session, compiled, rows, lo: int, hi: int) -> None:
-    """Push arrivals ``[lo, hi)``: vectorized for a sync sharded
-    session, per-event otherwise (results are identical either way —
-    that equivalence is itself a blessed contract)."""
-    if isinstance(session, ShardedSession) and session.ingest_stats is None:
+    """Push arrivals ``[lo, hi)``: vectorized for a sync session,
+    per-event behind the async front door (results are identical
+    either way — that equivalence is itself a blessed contract)."""
+    if session.ingest_stats is None:
         session.push_many(rows[lo:hi])
         return
     timestamps, keys, values = (

@@ -1,8 +1,8 @@
 """The supervised multi-tenant session manager (DESIGN.md §10).
 
 :class:`SessionManager` owns many named tenant sessions
-(:class:`~repro.runtime.QuerySession` or
-:class:`~repro.runtime.ShardedSession`, per tenant config) and wraps
+(each a :class:`~repro.runtime.ShardedSession` shaped by its tenant
+config — one serial shard by default) and wraps
 every operation on them in the service's robustness machinery:
 
 **Admission control** (per tenant, under a fast admission lock that is
@@ -47,7 +47,7 @@ from pathlib import Path
 
 from ..engine.events import EVENT_BYTES
 from ..errors import ExecutionError, ReproError
-from ..runtime import CheckpointStore, QuerySession, ShardedSession
+from ..runtime import CheckpointStore, ShardedSession
 from ..runtime.core import resolve_registration_query
 from ..runtime.faults import SERVICE_FAULT_KINDS
 from .protocol import BadRequest, Overloaded, serialize_results
@@ -101,9 +101,8 @@ class TenantStats:
 
 class _DeadSession:
     """What a hard-killed tenant session is replaced with: every use
-    fails like a real mid-request death (uniform for both session
-    classes — ``QuerySession.close()`` alone would keep accepting
-    synchronous pushes)."""
+    fails like a real mid-request death, carrying the injected cause
+    (a closed session would only say it is finished)."""
 
     def __init__(self, cause: str):
         self._cause = cause
@@ -281,39 +280,22 @@ class SessionManager:
         cfg = state.config
         on_checkpoint = lambda snap, path: state.tail.clear()  # noqa: E731
         meta = lambda: {"tenant": state.name}  # noqa: E731
-        if cfg.num_shards > 1:
-            if source is None:
-                return ShardedSession(
-                    num_keys=cfg.num_keys,
-                    num_shards=cfg.num_shards,
-                    backend=cfg.backend,
-                    max_lateness=cfg.max_lateness,
-                    chunk_ticks=cfg.chunk_ticks,
-                    auto_checkpoint=state.store,
-                    checkpoint_meta=meta,
-                    on_checkpoint=on_checkpoint,
-                )
-            return ShardedSession.restore(
-                source,
-                backend=cfg.backend,
-                auto_checkpoint=state.store,
-                checkpoint_meta=meta,
-                on_checkpoint=on_checkpoint,
-            )
-        if source is None:
-            return QuerySession(
-                num_keys=cfg.num_keys,
-                max_lateness=cfg.max_lateness,
-                chunk_ticks=cfg.chunk_ticks,
-                auto_checkpoint=state.store,
-                checkpoint_meta=meta,
-                on_checkpoint=on_checkpoint,
-            )
-        return QuerySession.restore(
-            source,
+        durability = dict(
             auto_checkpoint=state.store,
             checkpoint_meta=meta,
             on_checkpoint=on_checkpoint,
+        )
+        if source is not None:
+            return ShardedSession.restore(
+                source, backend=cfg.backend, **durability
+            )
+        return ShardedSession(
+            num_keys=cfg.num_keys,
+            num_shards=cfg.num_shards,
+            backend=cfg.backend,
+            max_lateness=cfg.max_lateness,
+            chunk_ticks=cfg.chunk_ticks,
+            **durability,
         )
 
     def _tenant(self, name) -> _TenantState:

@@ -10,6 +10,8 @@ The checkpoint *file* contract is all-or-nothing: a torn, truncated,
 corrupted, or foreign file raises — it never restores garbage.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,9 @@ from repro.runtime import (
     write_checkpoint,
 )
 from repro.runtime.checkpoint import CHECKPOINT_MAGIC
+from repro.scenarios import results_digest
 from repro.windows.window import Window, WindowSet
+from repro.workloads.streams import constant_rate_stream
 
 from session_streams import integer_stream
 
@@ -246,7 +250,9 @@ def test_query_session_checkpoint_file_round_trip(tmp_path):
         restored.finish(horizon=horizon),
         "file round trip",
     )
-    assert snap.kind == "query"
+    # A QuerySession is a 1-shard ShardedSession; its snapshots are
+    # ordinary sharded cuts.
+    assert snap.kind == "sharded"
 
 
 def test_query_session_async_residue_is_captured_and_replayed():
@@ -281,14 +287,16 @@ def test_restore_rejects_wrong_kind():
     session.register(WORKLOAD[0][0], scope="per_key")
     snap = session.snapshot()
     session.close()
-    with pytest.raises(
-        ExecutionError, match="does not restore into a QuerySession"
-    ):
-        QuerySession.restore(snap)
-    q = QuerySession(num_keys=NUM_KEYS)
-    qsnap = q.snapshot()
-    with pytest.raises(ExecutionError, match="not a ShardedSession"):
-        ShardedSession.restore(qsnap)
+    foreign = Snapshot(
+        kind="tenant",
+        watermark=snap.watermark,
+        generation=snap.generation,
+        queries=snap.queries,
+        payload=snap.payload,
+    )
+    for cls in (QuerySession, ShardedSession):
+        with pytest.raises(ExecutionError, match="not a session snapshot"):
+            cls.restore(foreign)
 
 
 # ----------------------------------------------------------------------
@@ -583,3 +591,115 @@ class TestAutoCheckpoint:
         assert_identical(
             plain, chatty, f"seed={repro_seed} cadence-invariance"
         )
+
+
+# ----------------------------------------------------------------------
+# Format fixture: a kind="query" checkpoint from the retired standalone
+# single-core session must keep restoring bit-identically.
+# ----------------------------------------------------------------------
+#: Written by ``factor-windows session LEGACY_Q1 LEGACY_Q2 --events 3000
+#: --keys 3 --rate 2 --lateness 8 --seed 7 --checkpoint-every 300
+#: --checkpoint-dir D`` with the single-core session class of earlier
+#: releases (its first checkpoint, at watermark 321).  The cut holds one
+#: event in a partial chunk and 17 in the reorder buffer, and LEGACY_Q2
+#: registers after it (stream position 750, carried in ``meta``).
+LEGACY_FIXTURE = (
+    Path(__file__).resolve().parent / "fixtures" / "legacy_query_session.rckpt"
+)
+LEGACY_Q1 = (
+    "SELECT DeviceID, System.Window().Id, Min(T) AS MinTemp "
+    "FROM Input TIMESTAMP BY EntryTime GROUP BY DeviceID, Windows("
+    "Window('20 s', TumblingWindow(second, 20)), "
+    "Window('40 s', TumblingWindow(second, 40)))"
+)
+LEGACY_Q2 = (
+    "SELECT DeviceID, System.Window().Id, Max(T) AS MaxTemp "
+    "FROM Input TIMESTAMP BY EntryTime GROUP BY DeviceID, Windows("
+    "Window('30 s', HoppingWindow(second, 30, 10)), "
+    "Window('60 s', TumblingWindow(second, 60)))"
+)
+LEGACY_ARGS = [
+    "--events", "3000", "--keys", "3", "--rate", "2",
+    "--lateness", "8", "--seed", "7",
+]
+#: ``results_digest`` of the uninterrupted run, computed by the release
+#: that wrote the fixture.
+LEGACY_DIGEST = (
+    "721d6d9082c8c6f5d81af8152b82dc2d2a4954a55a8419d0ac1ed1ae7c6dd708"
+)
+
+
+def _legacy_stream():
+    snap = read_checkpoint(LEGACY_FIXTURE)
+    spec = snap.meta["stream"]
+    stream = constant_rate_stream(
+        spec["events"], num_keys=spec["keys"], rate=spec["rate"],
+        seed=spec["seed"],
+    )
+    pending = {int(i): q for i, q in snap.meta["pending"].items()}
+    return snap, stream, list(stream.rows()), pending
+
+
+def test_legacy_fixture_is_a_mid_stream_query_cut():
+    snap, _, _, pending = _legacy_stream()
+    assert LEGACY_FIXTURE.stat().st_size < 64 * 1024
+    assert snap.kind == "query"
+    assert snap.queries == ("q1",)
+    assert snap.meta["position"] < min(pending)
+    assert list(pending.values()) == [LEGACY_Q2]
+
+
+@pytest.mark.parametrize("cls", [QuerySession, ShardedSession])
+def test_legacy_query_checkpoint_restores_bit_identically(cls):
+    snap, stream, rows, pending = _legacy_stream()
+    uninterrupted = QuerySession(num_keys=3, max_lateness=8)
+    uninterrupted.register(LEGACY_Q1)
+    for i, (ts, key, value) in enumerate(rows):
+        if i in pending:
+            uninterrupted.register(pending[i])
+        uninterrupted.push(ts, key, value)
+    expected = uninterrupted.finish(horizon=stream.horizon)
+
+    restored = cls.restore(str(LEGACY_FIXTURE))
+    assert type(restored) is cls
+    assert restored.num_shards == 1
+    assert restored.watermark == snap.watermark
+    assert restored.queries == ("q1",)
+    reorder = restored.reorder_stats
+    position = reorder.accepted + reorder.late_dropped
+    assert position == snap.meta["position"]
+    for i in range(position, len(rows)):
+        if i in pending:
+            assert restored.register(pending[i]) == "q2"
+        restored.push(*rows[i])
+    actual = restored.finish(horizon=stream.horizon)
+    assert_identical(expected, actual, "legacy query checkpoint")
+    assert results_digest(actual) == LEGACY_DIGEST
+    assert restored.stats().total_pairs == uninterrupted.stats().total_pairs
+
+
+def test_legacy_query_checkpoint_restores_through_the_cli(
+    monkeypatch, capsys
+):
+    from repro.bench import cli
+
+    captured = []
+    report = cli._print_session_report
+
+    def capture(session, results, async_ingest):
+        captured.append(results)
+        report(session, results, async_ingest)
+
+    monkeypatch.setattr(cli, "_print_session_report", capture)
+    assert cli.main(["session", LEGACY_Q1, LEGACY_Q2, *LEGACY_ARGS]) == 0
+    uninterrupted = capsys.readouterr().out
+    assert cli.main(["restore", str(LEGACY_FIXTURE)]) == 0
+    resumed = capsys.readouterr().out
+    assert "restored 'query' session" in resumed
+    assert "registered 'q2'" in resumed
+    assert_identical(captured[0], captured[1], "legacy cli restore")
+    assert results_digest(captured[1]) == LEGACY_DIGEST
+    tail = uninterrupted[uninterrupted.index("emitted results:"):]
+    assert resumed[resumed.index("emitted results:"):].split(
+        "throughput="
+    )[0] == tail.split("throughput=")[0]

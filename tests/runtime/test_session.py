@@ -11,6 +11,7 @@ import pytest
 
 from repro.aggregates.registry import MEDIAN, MIN, SUM
 from repro.core.multiquery import Query, optimize_workload
+from repro.engine.events import EventBatch
 from repro.engine.executor import execute_plan
 from repro.engine.outoforder import scramble_batch
 from repro.errors import ExecutionError
@@ -161,7 +162,7 @@ class TestPlanSwitching:
         results = session.finish(horizon=stream.horizon)
         assert_session_matches(results, cold, [qa], stream.horizon)
         # Every draining operator eventually retired.
-        for runtime in session._groups.values():
+        for runtime in session.backend.cores[0]._groups.values():
             assert runtime.draining == []
 
     def test_deregistered_results_stay_readable(self, int_stream):
@@ -210,6 +211,99 @@ class TestPlanSwitching:
         assert rate_switches, "rate drift should have re-planned live"
         assert any(s.rate > 10 for s in rate_switches)
 
+    @staticmethod
+    def _ramp_switches(ingest):
+        """Switch log of the rate-ramp stream under one ingest path."""
+        stream = integer_stream(
+            ticks=1800,
+            num_keys=1,
+            seed=7,
+            rate_segments=((1, 600), (30, 600), (1, 600)),
+        )
+        query = Query("f", WindowSet([Window(6, 3), Window(8, 4)]), MIN)
+        session = QuerySession(
+            num_keys=1, hysteresis=0.5, alpha=0.6, chunk_ticks=24
+        )
+        session.register(query)
+        ingest(session, stream)
+        results = session.finish(horizon=stream.horizon)
+        assert_session_matches(
+            results, cold_reference([query], stream), [query],
+            stream.horizon,
+        )
+        return [(s.reason, s.rate) for s in session.switches]
+
+    def test_push_many_replans_at_the_same_points_as_push(self):
+        """A drift decision parked mid-batch applies before the rest of
+        the batch is routed, so the vectorized path re-plans exactly
+        like the per-event path instead of once per call."""
+
+        def per_event(session, stream):
+            for ts, key, value in stream.rows():
+                session.push(ts, key, value)
+
+        def batched(session, stream):
+            session.push_many(stream.rows())
+
+        def fast_path(session, stream):
+            session.push_batch(stream)
+
+        expected = self._ramp_switches(per_event)
+        assert [reason for reason, _ in expected].count("rate") >= 1
+        assert self._ramp_switches(batched) == expected
+        assert self._ramp_switches(fast_path) == expected
+
+    def test_rate_replans_inside_batches_stay_invisible(self):
+        """Mid-batch re-plans on both vectorized paths keep every
+        emitted instance bit-identical to a cold run — including
+        switches whose chunk-crossing event sits on an aligned window
+        start (it must reach the fresh operators too)."""
+        wins = [Window(6, 3), Window(8, 4), Window(12, 6), Window(24, 12)]
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            stream = integer_stream(
+                ticks=0,
+                num_keys=int(rng.integers(1, 4)),
+                seed=seed,
+                rate_segments=tuple(
+                    (
+                        int(rng.choice([1, 2, 20, 40])),
+                        int(rng.integers(100, 400)),
+                    )
+                    for _ in range(4)
+                ),
+            )
+            query = Query(
+                "f", WindowSet(wins[: int(rng.integers(2, 5))]), MIN
+            )
+            cold = cold_reference([query], stream)
+            for path in ("push_many", "push_batch"):
+                session = QuerySession(
+                    num_keys=stream.num_keys,
+                    hysteresis=0.5,
+                    alpha=0.6,
+                    chunk_ticks=48,
+                )
+                session.register(query)
+                n = stream.num_events
+                step = max(1, n // 7)
+                for lo in range(0, n, step):
+                    part = EventBatch(
+                        timestamps=stream.timestamps[lo:lo + step],
+                        keys=stream.keys[lo:lo + step],
+                        values=stream.values[lo:lo + step],
+                        horizon=stream.horizon,
+                        num_keys=stream.num_keys,
+                    )
+                    if path == "push_many":
+                        session.push_many(part.rows())
+                    else:
+                        session.push_batch(part)
+                results = session.finish(horizon=stream.horizon)
+                assert_session_matches(
+                    results, cold, [query], stream.horizon
+                )
+
     def test_factor_window_promoted_to_user_window(self):
         """Registering a query whose window already runs as a *factor*
         window must re-issue the operator with an emission sink (state
@@ -225,7 +319,7 @@ class TestPlanSwitching:
         session.register(qa)
         factor_windows = {
             w
-            for rt in session._groups.values()
+            for rt in session.backend.cores[0]._groups.values()
             for w, op in rt.ops.items()
             if op.sink is None
         }
@@ -345,6 +439,41 @@ class TestSessionApi:
         session.register(QA)
         with pytest.raises(ExecutionError):
             session.push(0, 2, 1.0)
+
+    @pytest.mark.parametrize("path", ["push", "push_many"])
+    def test_float_timestamps_survive_mid_stream_register(self, path):
+        """Float timestamps are cast to integer ticks on every ingest
+        path, so a later register never meets a float watermark."""
+
+        def run(cast):
+            session = QuerySession(num_keys=2)
+            session.register(
+                "SELECT MIN(v) FROM s GROUP BY WINDOWS(TUMBLING(second, 10))"
+            )
+            first = [(cast(t), t % 2, float(t % 7)) for t in range(100)]
+            rest = [(cast(t), t % 2, float(t % 5)) for t in range(100, 200)]
+            ingest(session, first)
+            session.register(
+                "SELECT SUM(v) FROM s GROUP BY WINDOWS(HOPPING(second, 20, 10))"
+            )
+            ingest(session, rest)
+            return session.finish()
+
+        def ingest(session, rows):
+            if path == "push_many":
+                session.push_many(rows)
+                return
+            for row in rows:
+                session.push(*row)
+
+        expected = run(int)
+        actual = run(float)
+        assert set(actual) == set(expected) == {"q1", "q2"}
+        for name, by_window in expected.items():
+            for window, result in by_window.items():
+                np.testing.assert_array_equal(
+                    actual[name][window].values, result.values
+                )
 
     def test_push_after_finish_rejected(self):
         session = QuerySession(hysteresis=None)
@@ -466,7 +595,7 @@ class TestSessionApi:
                 )
             session.push(ts, key, value)
         session.finish(horizon=stream.horizon)
-        assert session.workload.event_rate == 20
+        assert session.backend.cores[0].workload.event_rate == 20
 
     def test_watermark_and_generation_progress(self, int_stream):
         session = QuerySession(num_keys=2, hysteresis=None)

@@ -148,7 +148,7 @@ def test_randomized_schedules_are_observationally_invisible(schedule):
             )
 
     # Every displaced operator drained and retired.
-    for runtime in session._groups.values():
+    for runtime in session.backend.cores[0]._groups.values():
         assert runtime.draining == []
 
     # Bounded work: even with every switch in the schedule, total

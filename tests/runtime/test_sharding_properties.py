@@ -5,9 +5,8 @@ For any shard count, any out-of-order stream, and any randomized
 register/deregister/rate schedule over distributive, algebraic, and
 holistic aggregates — in both per-key and global scope — a
 :class:`~repro.runtime.ShardedSession`'s merged results must be
-**bit-identical** to the 1-shard run, and (for everything a
-:class:`~repro.runtime.QuerySession` can express) to the unsharded
-session, which invariant 9 already ties to a cold batch run.
+**bit-identical** to the 1-shard run, and the 1-shard run to an
+independent cold batch run of each window (invariant 9).
 
 The same identity must hold across every execution configuration:
 {serial, process, shm} backends × {sync, async} ingest (invariant 11
@@ -26,8 +25,11 @@ import pytest
 
 from repro.aggregates.registry import AVG, MAX, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
+from repro.engine.events import EventBatch
+from repro.engine.executor import execute_plan
 from repro.engine.outoforder import scramble_batch
-from repro.runtime import QuerySession, ShardedSession
+from repro.plans.builder import original_plan
+from repro.runtime import ShardedSession
 from repro.windows.window import Window, WindowSet
 
 from session_streams import integer_stream
@@ -128,41 +130,23 @@ def run_sharded(
     return results, watermarks
 
 
-def run_unsharded(schedule, events, horizon, lateness=0, hysteresis=None):
-    """The same schedule on a QuerySession — minus forward-mode
-    (global holistic) queries, which only the sharded runtime serves."""
-    register_at, deregister_at = schedule
-    session = QuerySession(
-        num_keys=NUM_KEYS,
-        max_lateness=lateness,
-        hysteresis=hysteresis,
-        alpha=0.6,
-    )
-    forward = {
-        query.name
-        for point in register_at.values()
-        for query, scope in point
-        if scope == "global" and not query.aggregate.mergeable
-    }
-    dropped = set()
-    for i, (ts, key, value) in enumerate(events):
-        for query, scope in register_at.get(i, ()):
-            if query.name not in forward:
-                session.register(query, scope=scope)
-        for name in deregister_at.get(i, ()):
-            if name in session.queries:
-                session.deregister(name)
-                dropped.add(name)
-        session.push(ts, key, value)
-    for queries in register_at.values():
-        for query, scope in queries:
-            if (
-                query.name not in session.queries
-                and query.name not in dropped
-                and query.name not in forward
-            ):
-                session.register(query, scope=scope)
-    return session.finish(horizon=horizon), forward
+def cold_window_result(query, scope, window, batch):
+    """One window's cold batch result — the invariant-9 reference
+    (window results are plan-independent, invariant 5).  A global
+    query aggregates every key as one, so its reference runs on the
+    stream with all keys collapsed."""
+    if scope == "global":
+        batch = EventBatch(
+            timestamps=batch.timestamps,
+            keys=np.zeros_like(batch.keys),
+            values=batch.values,
+            horizon=batch.horizon,
+            num_keys=1,
+        )
+    plan = original_plan(WindowSet([window]), query.aggregate)
+    return execute_plan(
+        plan, batch, engine="streaming-chunked"
+    ).results[window]
 
 
 def assert_results_identical(expected, actual, context):
@@ -221,22 +205,18 @@ def test_randomized_schedules_are_shard_invariant(repro_seed, case):
             baseline, results, f"{context} shards={num_shards}"
         )
 
-    # Invariant 10 ties into invariant 9: everything a QuerySession can
-    # express matches it bit-for-bit (and invariant 9 ties *that* to a
-    # cold batch run).
-    unsharded, forward = run_unsharded(
-        schedule,
-        events,
-        batch.horizon,
-        lateness=lateness,
-        hysteresis=hysteresis,
-    )
-    comparable = {
-        name: by_window
-        for name, by_window in baseline.items()
-        if name.split("@g")[0] not in forward
-    }
-    assert_results_identical(unsharded, comparable, f"{context} vs-unsharded")
+    # Invariant 10 ties into invariant 9: the 1-shard baseline itself
+    # matches an independent cold batch run, window by window.
+    pool = {query.name: (query, scope) for query, scope in POOL}
+    for name, by_window in baseline.items():
+        query, scope = pool[name.split("@g")[0]]
+        for window, emitted in by_window.items():
+            reference = cold_window_result(query, scope, window, batch)
+            np.testing.assert_array_equal(
+                emitted.values,
+                reference[:, emitted.start_instance:emitted.frontier],
+                err_msg=f"{context} vs-cold {name}/{window}",
+            )
 
 
 #: Every execution configuration that must match the serial-sync
