@@ -227,7 +227,9 @@ def _cmd_session(args: argparse.Namespace) -> int:
         num_keys=args.keys,
         num_shards=args.shards,
         backend=args.shard_backend,
-        num_slots=args.slots or DEFAULT_NUM_SLOTS,
+        num_slots=(
+            DEFAULT_NUM_SLOTS if args.slots is None else args.slots
+        ),
         max_lateness=args.lateness,
         hysteresis=None if args.no_adapt else args.hysteresis,
         async_ingest=args.async_ingest,

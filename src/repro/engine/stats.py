@@ -45,7 +45,9 @@ class ExecutionStats:
     bytes_copied: int = 0
     copies_elided: int = 0
     #: Retired subscriptions evicted by a live session's retention cap,
-    #: and the result instances dropped with them (exact counters).
+    #: and the result instances dropped with them (exact counters;
+    #: per core, so :meth:`merge` over shard cores counts one evicted
+    #: subscription once per core that held a slice of it).
     retired_results_evicted: int = 0
     retired_instances_evicted: int = 0
     #: Decayed per-shard load report ``{shard: {"events", "bytes",

@@ -1624,7 +1624,6 @@ class ShardedSession(AsyncIngestFrontDoor):
         # signal the rebalance policy reads (DESIGN.md §12).
         self._slot_events = np.zeros(self.num_slots, dtype=np.float64)
         self._slot_bytes = np.zeros(self.num_slots, dtype=np.float64)
-        self._slot_hits: "list[int]" = []
         # Only shards that own keys get a core: a key-less core would
         # still close (dummy-key) instances forever — wasted work that
         # would also inflate the logical pair counters sharding must
@@ -1727,15 +1726,17 @@ class ShardedSession(AsyncIngestFrontDoor):
 
     @property
     def retired_results_evicted(self) -> int:
-        """Retired subscriptions evicted by the retention cap (exact;
-        summed over cores — every shard core archives, and evicts, its
-        own slice of a retired subscription)."""
+        """Per-core evictions of retired subscriptions by the retention
+        cap, summed over cores (exact).  Every shard core archives, and
+        evicts, its own slice of a retired subscription, so one evicted
+        subscription counts once per core holding it: the value scales
+        with the number of active shards, unlike the results."""
         return self.stats().retired_results_evicted
 
     @property
     def retired_instances_evicted(self) -> int:
-        """Result instances dropped with those evictions (exact; summed
-        over cores like :attr:`retired_results_evicted`)."""
+        """Result instances dropped with those evictions, per core and
+        summed over cores like :attr:`retired_results_evicted`."""
         return self.stats().retired_instances_evicted
 
     @property
@@ -2129,9 +2130,8 @@ class ShardedSession(AsyncIngestFrontDoor):
                 self.partitioner.slot_of_key[keys],
                 minlength=self.num_slots,
             )
-            events, volume = self._slot_loads()
-            events += counts
-            volume += counts * float(EVENT_BYTES)
+            self._slot_events += counts
+            self._slot_bytes += counts * float(EVENT_BYTES)
         self._pending_events += int(ts.size)
         last = int(ts[-1])
         if last > self._max_event_ts:
@@ -2147,7 +2147,9 @@ class ShardedSession(AsyncIngestFrontDoor):
             self._fwd_scalar[0].append(ts)
             self._fwd_scalar[1].append(value)
         if self._key_vslot is not None:
-            self._slot_hits.append(self._key_vslot[key])
+            vslot = self._key_vslot[key]
+            self._slot_events[vslot] += 1.0
+            self._slot_bytes[vslot] += float(EVENT_BYTES)
         self._pending_events += 1
         if ts > self._max_event_ts:
             self._max_event_ts = ts
@@ -2206,9 +2208,8 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._rate_observer.observe_flush(
             to_watermark, count, self._chunk_ticks, bool(self._queries)
         )
-        events, volume = self._slot_loads()
-        events *= LOAD_DECAY
-        volume *= LOAD_DECAY
+        self._slot_events *= LOAD_DECAY
+        self._slot_bytes *= LOAD_DECAY
 
     def _sync(self, target: int) -> None:
         """Advance every core to the same safe watermark (the
@@ -2240,20 +2241,8 @@ class ShardedSession(AsyncIngestFrontDoor):
     def slot_loads(self) -> "tuple[np.ndarray, np.ndarray]":
         """Decayed per-slot ``(events, bytes)`` load counters."""
         return self._via_pump(
-            lambda: tuple(loads.copy() for loads in self._slot_loads())
+            lambda: (self._slot_events.copy(), self._slot_bytes.copy())
         )
-
-    def _slot_loads(self) -> "tuple[np.ndarray, np.ndarray]":
-        """The live ``(events, bytes)`` per-slot counters, first
-        charged with the per-event hits :meth:`_route` deferred.
-        ``np.add.at`` adds them one at a time in arrival order, so the
-        counters are bit-identical to per-event increments."""
-        if self._slot_hits:
-            hits = np.asarray(self._slot_hits, dtype=np.intp)
-            self._slot_hits = []
-            np.add.at(self._slot_events, hits, 1.0)
-            np.add.at(self._slot_bytes, hits, float(EVENT_BYTES))
-        return self._slot_events, self._slot_bytes
 
     def shard_loads(self) -> "dict[int, dict[str, float]]":
         """Decayed per-shard load totals, folded over the slot map:
@@ -2264,12 +2253,11 @@ class ShardedSession(AsyncIngestFrontDoor):
     def _shard_loads_now(self) -> "dict[int, dict[str, float]]":
         self._require_slots()
         slot_map = self.partitioner.slot_map
-        slot_events, slot_bytes = self._slot_loads()
         events = np.bincount(
-            slot_map, weights=slot_events, minlength=self.num_shards
+            slot_map, weights=self._slot_events, minlength=self.num_shards
         )
         volume = np.bincount(
-            slot_map, weights=slot_bytes, minlength=self.num_shards
+            slot_map, weights=self._slot_bytes, minlength=self.num_shards
         )
         slots = np.bincount(slot_map, minlength=self.num_shards)
         return {
@@ -2324,7 +2312,7 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._require_slots()
         if self.num_shards < 2:
             return 0
-        load, _ = self._slot_loads()
+        load = self._slot_events
         new_map = self.partitioner.slot_map.copy()
         limit = 8 if max_moves is None else int(max_moves)
         moved = 0
@@ -2363,7 +2351,7 @@ class ShardedSession(AsyncIngestFrontDoor):
     def _split_shard_now(self, source: "int | None") -> int:
         self._require_open()
         slot_map = self._require_slots().copy()
-        load, _ = self._slot_loads()
+        load = self._slot_events
         if source is None:
             shard_load = np.bincount(
                 slot_map, weights=load, minlength=self.num_shards
@@ -2410,7 +2398,7 @@ class ShardedSession(AsyncIngestFrontDoor):
             )
         if into is None:
             shard_load = np.bincount(
-                slot_map, weights=self._slot_loads()[0],
+                slot_map, weights=self._slot_events,
                 minlength=self.num_shards,
             )
             into = min(
@@ -2639,7 +2627,7 @@ class ShardedSession(AsyncIngestFrontDoor):
                 else self.partitioner.slot_map.copy()
             ),
             "active_shards": list(self.active_shards),
-            "slot_events": self._slot_loads()[0].copy(),
+            "slot_events": self._slot_events.copy(),
             "slot_bytes": self._slot_bytes.copy(),
             "fixed_chunk": self._fixed_chunk,
             "enable_factor_windows": self._enable_factor_windows,
@@ -2753,7 +2741,6 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._slot_bytes = coord.get(
             "slot_bytes", np.zeros(self.num_slots, dtype=np.float64)
         )
-        self._slot_hits = []
         self._rebuild_shard_tables()
         self._fixed_chunk = coord["fixed_chunk"]
         self._enable_factor_windows = coord["enable_factor_windows"]

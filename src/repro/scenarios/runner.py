@@ -496,7 +496,9 @@ def _execute(
         num_keys=compiled.num_keys,
         num_shards=runtime.shards,
         backend=runtime.backend,
-        num_slots=runtime.slots or DEFAULT_NUM_SLOTS,
+        num_slots=(
+            DEFAULT_NUM_SLOTS if runtime.slots is None else runtime.slots
+        ),
         max_lateness=compiled.max_lateness,
         chunk_ticks=runtime.chunk_ticks,
         async_ingest=runtime.async_ingest,

@@ -90,3 +90,21 @@ class TestEnginesCommand:
         out = capsys.readouterr().out
         assert "engine=columnar-panes" in out
         assert "via panes[p=" in out
+
+
+class TestSessionCommand:
+    def test_rejects_zero_slots(self):
+        from repro.errors import ExecutionError
+
+        with pytest.raises(ExecutionError, match="num_slots must be >= 1"):
+            main(
+                [
+                    "session",
+                    "SELECT MIN(T) FROM Input GROUP BY WINDOWS("
+                    "TUMBLING(second, 10))",
+                    "--events",
+                    "50",
+                    "--slots",
+                    "0",
+                ]
+            )

@@ -206,10 +206,37 @@ def test_randomized_schedules_are_shard_invariant(repro_seed, case):
         )
 
     # Invariant 10 ties into invariant 9: the 1-shard baseline itself
-    # matches an independent cold batch run, window by window.
+    # matches an independent cold batch run, window by window.  Every
+    # survivor (forward-mode globals included) must be present and
+    # emitted up to the horizon; a deregistered query's archive must
+    # match on whatever range it did emit.
+    register_at, deregister_at = schedule
     pool = {query.name: (query, scope) for query, scope in POOL}
+    registered = {
+        query.name for point in register_at.values() for query, _ in point
+    }
+    dropped = {name for names in deregister_at.values() for name in names}
+    assert {name.split("@g")[0] for name in baseline} <= registered, context
+    for name in sorted(registered - dropped):
+        query, scope = pool[name]
+        assert name in baseline, (context, name)
+        assert set(baseline[name]) == set(query.windows), (context, name)
+        for window, emitted in baseline[name].items():
+            reference = cold_window_result(query, scope, window, batch)
+            assert emitted.frontier == reference.shape[1], (
+                context,
+                name,
+                window,
+            )
+            np.testing.assert_array_equal(
+                emitted.values,
+                reference[:, emitted.start_instance:emitted.frontier],
+                err_msg=f"{context} vs-cold {name}/{window}",
+            )
     for name, by_window in baseline.items():
         query, scope = pool[name.split("@g")[0]]
+        if query.name not in dropped:
+            continue
         for window, emitted in by_window.items():
             reference = cold_window_result(query, scope, window, batch)
             np.testing.assert_array_equal(
